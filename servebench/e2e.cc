@@ -20,6 +20,7 @@
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -40,6 +41,8 @@ using toprr::serve::ToprrClient;
 // Spawns per run: setup_s is their median. The last one serves the run.
 constexpr int kSetupSpawns = 7;
 constexpr double kSpawnTimeoutSeconds = 60.0;
+// Spawns tried when restarting a server that died.
+constexpr int kRestartSpawns = 5;
 constexpr double kStopGraceSeconds = 20.0;
 constexpr int kReconnectSeconds = 30;
 // The supervisor wakes every 2 ms; it reads the server's VmHWM and the
@@ -49,9 +52,11 @@ constexpr int kSlowPollEvery = 50;
 // host's CPU time over the last kQuietSeconds, or kMaxQuietWaitSeconds
 // after the warm-up, whichever comes first. Runs on a host whose
 // neighbours steal 5-10 % of its CPU measured up to 50 % higher latency.
+// The wait is short: a window that turns out noisy is measured again
+// (main.cc), which helps more than waiting longer before it.
 constexpr double kQuietSteal = 0.015;
 constexpr double kQuietSeconds = 2.0;
-constexpr double kMaxQuietWaitSeconds = 10.0;
+constexpr double kMaxQuietWaitSeconds = 4.0;
 
 double Ms(Clock::duration d) {
   return std::chrono::duration<double, std::milli>(d).count();
@@ -401,6 +406,101 @@ class StartGate {
   Clock::time_point start_;
 };
 
+// Lets the readers send side by side, or one of them alone. A batch a
+// server crash took down is re-sent alone, so only a query that takes
+// the server down on its own counts as failed -- not the batches of the
+// other connections that went down with it, whose number depends on
+// timing. A reader waiting to go alone holds back new shared sends.
+class SoloGate {
+ public:
+  void EnterShared() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return !solo_ && solo_waiting_ == 0; });
+    ++shared_;
+  }
+
+  void ExitShared() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--shared_ == 0) cv_.notify_all();
+  }
+
+  void EnterSolo() {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++solo_waiting_;
+    cv_.wait(lock, [this] { return !solo_ && shared_ == 0; });
+    --solo_waiting_;
+    solo_ = true;
+  }
+
+  void ExitSolo() {
+    std::lock_guard<std::mutex> lock(mu_);
+    solo_ = false;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int shared_ = 0;
+  int solo_waiting_ = 0;
+  bool solo_ = false;
+};
+
+// The spans during which the server was down or a lost batch was being
+// re-sent alone. Requests and publishes that overlap one still count as
+// completed but are not timed: their latency would measure the restart.
+// A span in which the server died but no re-sent query took it down
+// again is an unexplained crash.
+class OutageTracker {
+ public:
+  // Opened by the supervisor when the server died (`crash`), and by each
+  // reader re-sending a lost batch.
+  void Begin(bool crash = false) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (open_++ == 0) {
+      begin_ = Clock::now();
+      crashed_ = false;
+      explained_ = false;
+    }
+    crashed_ = crashed_ || crash;
+  }
+
+  // A re-sent query took the server down on its own.
+  void Explain() {
+    std::lock_guard<std::mutex> lock(mu_);
+    explained_ = true;
+  }
+
+  void End() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--open_ > 0) return;
+    spans_.emplace_back(begin_, Clock::now());
+    if (crashed_ && !explained_) ++unexplained_;
+  }
+
+  uint64_t unexplained() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return unexplained_;
+  }
+
+  bool Overlaps(Clock::time_point from, Clock::time_point to) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (open_ > 0 && to >= begin_) return true;
+    return std::any_of(spans_.begin(), spans_.end(), [&](const auto& span) {
+      return span.first <= to && from <= span.second;
+    });
+  }
+
+ private:
+  std::mutex mu_;
+  int open_ = 0;
+  bool crashed_ = false;
+  bool explained_ = false;
+  uint64_t unexplained_ = 0;
+  Clock::time_point begin_;
+  std::vector<std::pair<Clock::time_point, Clock::time_point>> spans_;
+};
+
 // Per-connection tallies, merged into EndToEndResult after the join.
 struct ReaderTally {
   uint64_t attempted = 0;
@@ -409,10 +509,12 @@ struct ReaderTally {
   uint64_t non_ok = 0;
   uint64_t transport_errors = 0;
   uint64_t cache_hits = 0;
+  uint64_t untimed = 0;
   std::vector<double> latency_ms;
   std::vector<double> send_late_ms;
   std::vector<Sample> samples;
   std::vector<EndToEndResult::Stamp> stamps;
+  std::vector<std::string> crashed_queries;
   Clock::time_point end;
 };
 
@@ -432,14 +534,15 @@ struct Reader {
   const std::vector<std::vector<ToprrQuery>>* measured;
   const std::vector<Rpc>* measured_rpcs;
   StartGate* gate;
-  double seconds;
+  SoloGate* solo;
+  OutageTracker* outage;
   const std::atomic<uint64_t>* acked_seq;  // read-your-writes floor
   ReaderTally tally;
-  Clock::time_point unreachable_until{};  // when the last reconnect ended
+  // Queries found to take the server down, as (RPC, slot): the cycled
+  // warm-up sends them only once.
+  std::set<std::pair<const std::vector<ToprrQuery>*, size_t>> crashers;
 
-  // Reconnects after a failed RPC, waiting out a server restart. The
-  // failed request is never re-sent: a query that took the server down
-  // would take its successor down too.
+  // Reconnects, waiting out a server restart.
   bool Reconnect(ToprrClient& client) {
     const Clock::time_point give_up =
         Clock::now() + std::chrono::seconds(kReconnectSeconds);
@@ -450,37 +553,106 @@ struct Reader {
     return true;
   }
 
-  // One timed-or-not RPC. Returns false when the connection is lost and
-  // cannot be re-established.
-  // `sequence` numbers the timed RPCs of this connection (every
-  // sample_every-th is kept for verification); `trace_index` locates the
-  // RPC in the trace. Open-loop RPCs are timed from when they were due,
-  // closed-loop ones from when they were sent.
+  // Re-sends a batch a failed RPC lost, alone on the server: the whole
+  // batch, then -- if it takes the server down again -- each query on its
+  // own. Slots that take the server down on their own stay empty. False
+  // when the server cannot be reached again.
+  bool Isolate(ToprrClient& client, const std::vector<ToprrQuery>& batch,
+               std::vector<std::optional<ServeResponse>>* out) {
+    solo->EnterSolo();
+    out->assign(batch.size(), std::nullopt);
+    bool reachable = Reconnect(client);
+    std::optional<std::vector<ServeResponse>> whole;
+    if (reachable) whole = client.QueryBatch(batch);
+    if (whole.has_value() && whole->size() == batch.size()) {
+      for (size_t slot = 0; slot < batch.size(); ++slot) {
+        (*out)[slot] = std::move((*whole)[slot]);
+      }
+    } else if (reachable) {
+      reachable = Reconnect(client);
+      for (size_t slot = 0; reachable && batch.size() > 1 &&
+                            slot < batch.size();
+           ++slot) {
+        std::optional<std::vector<ServeResponse>> one =
+            client.QueryBatch({batch[slot]});
+        if (one.has_value() && one->size() == 1) {
+          (*out)[slot] = std::move((*one)[0]);
+        } else {
+          reachable = Reconnect(client);
+        }
+      }
+    }
+    solo->ExitSolo();
+    return reachable;
+  }
+
+  // One RPC: `queries` minus those already found to take the server down.
+  // Returns false when the connection is lost and cannot be
+  // re-established. `sequence` numbers the timed RPCs of this connection
+  // (every sample_every-th is kept for verification); `trace_index`
+  // locates the RPC in the trace. Open-loop RPCs are timed from when they
+  // were due, closed-loop ones from when they were sent.
   bool Send(ToprrClient& client, const std::vector<ToprrQuery>& queries,
             bool timed, size_t sequence, size_t trace_index,
             Clock::time_point due) {
+    std::vector<size_t> slots;
+    std::vector<ToprrQuery> batch;
+    for (size_t slot = 0; slot < queries.size(); ++slot) {
+      if (crashers.count({&queries, slot}) != 0) continue;
+      slots.push_back(slot);
+      batch.push_back(queries[slot]);
+    }
+    if (batch.empty()) return true;
     const uint64_t floor = acked_seq->load(std::memory_order_acquire);
+    solo->EnterShared();
     const Clock::time_point sent = Clock::now();
     std::optional<std::vector<ServeResponse>> responses =
-        client.QueryBatch(queries);
+        client.QueryBatch(batch);
     const Clock::time_point done = Clock::now();
-    if (!timed) {
-      if (responses.has_value()) return true;
-      tally.attempted += queries.size();
-      tally.transport_errors += queries.size();
-      return Reconnect(client);
+    solo->ExitShared();
+
+    std::vector<std::optional<ServeResponse>> answers(batch.size());
+    bool lost = !responses.has_value() || responses->size() != batch.size();
+    bool alive = true;
+    if (lost) {
+      outage->Begin();
+      alive = Isolate(client, batch, &answers);
+      for (const auto& answer : answers) {
+        if (alive && !answer.has_value()) outage->Explain();
+      }
+      outage->End();
+    } else {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        answers[i] = std::move((*responses)[i]);
+      }
     }
-    tally.attempted += queries.size();
+    for (size_t i = 0; alive && i < batch.size(); ++i) {
+      if (answers[i].has_value()) continue;
+      // Took the server down on its own: failed, and never sent again.
+      crashers.insert({&queries, slots[i]});
+      tally.crashed_queries.push_back(
+          "connection " + std::to_string(connection) +
+          (timed ? " rpc " : " warm-up rpc ") + std::to_string(trace_index) +
+          " query " + std::to_string(slots[i]));
+      ++tally.attempted;
+      ++tally.transport_errors;
+    }
+    if (!alive) {
+      tally.attempted += batch.size();
+      tally.transport_errors += batch.size();
+      return false;
+    }
+    if (!timed) return true;
+
     tally.send_late_ms.push_back(Ms(sent - due));
-    if (!responses.has_value() || responses->size() != queries.size()) {
-      tally.transport_errors += queries.size();
-      const bool reconnected = Reconnect(client);
-      unreachable_until = Clock::now();
-      return reconnected;
-    }
     bool all_ok = true;
-    for (size_t slot = 0; slot < responses->size(); ++slot) {
-      ServeResponse& response = (*responses)[slot];
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (!answers[i].has_value()) {
+        all_ok = false;
+        continue;
+      }
+      ServeResponse& response = *answers[i];
+      tally.attempted += 1;
       switch (response.status) {
         case ServeStatus::kOk:
           ++tally.completed;
@@ -503,15 +675,21 @@ struct Reader {
           break;
       }
     }
-    // Rejected or failed RPCs are counted, never timed.
-    if (all_ok) {
-      tally.latency_ms.push_back(Ms(done - (spec->open_loop ? due : sent)));
+    // Rejected or failed RPCs are counted, never timed; nor is an RPC
+    // that a restart or a re-send delayed.
+    const Clock::time_point from = spec->open_loop ? due : sent;
+    if (all_ok && !lost && !outage->Overlaps(from, done)) {
+      tally.latency_ms.push_back(Ms(done - from));
+    } else if (all_ok) {
+      ++tally.untimed;
     }
     if (sequence % spec->sample_every == 0) {
-      for (size_t slot = 0; slot < responses->size(); ++slot) {
-        if ((*responses)[slot].status != ServeStatus::kOk) continue;
-        tally.samples.push_back(Sample{connection, trace_index, slot,
-                                       std::move((*responses)[slot])});
+      for (size_t i = 0; i < batch.size(); ++i) {
+        if (!answers[i].has_value() || answers[i]->status != ServeStatus::kOk) {
+          continue;
+        }
+        tally.samples.push_back(Sample{connection, trace_index, slots[i],
+                                       std::move(*answers[i])});
       }
     }
     return true;
@@ -524,8 +702,8 @@ struct Reader {
     for (size_t i = 0; alive; ++i) {
       if (i == warm->size()) gate->Arrive();
       if (i >= warm->size() && gate->IsOpen()) break;
-      alive = Send(client, (*warm)[i % warm->size()], false, 0, 0,
-                   Clock::now());
+      alive = Send(client, (*warm)[i % warm->size()], false, 0,
+                   i % warm->size(), Clock::now());
     }
     if (!alive) gate->Arrive();
     const Clock::time_point start = gate->WaitOpen();
@@ -539,30 +717,15 @@ struct Reader {
             start + std::chrono::duration_cast<Clock::duration>(
                         std::chrono::duration<double>(
                             (*measured_rpcs)[i].due));
-        if (due < unreachable_until) {
-          // Due while the server was down: failed, like a refused
-          // connection, rather than sent late once it is back.
-          tally.attempted += (*measured)[i].size();
-          tally.transport_errors += (*measured)[i].size();
-          continue;
-        }
         std::this_thread::sleep_until(due);
         alive = Send(client, (*measured)[i], true, i, i, due);
       }
     } else {
-      // Closed loop over the cycled trace, until the window has passed
-      // and enough RPCs were timed for the reported percentiles.
-      const Clock::time_point deadline =
-          start + std::chrono::duration_cast<Clock::duration>(
-                      std::chrono::duration<double>(seconds));
-      const size_t min_rpcs =
-          (kMinTimedRequests + spec->connections - 1) / spec->connections;
-      // A closed-loop request is due when the previous one completed.
+      // Closed loop over the whole trace, once. A closed-loop request is
+      // due when the previous one completed.
       Clock::time_point due = start;
-      for (size_t i = 0; alive && (Clock::now() < deadline || i < min_rpcs);
-           ++i) {
-        const size_t index = i % measured->size();
-        alive = Send(client, (*measured)[index], true, i, index, due);
+      for (size_t i = 0; alive && i < measured->size(); ++i) {
+        alive = Send(client, (*measured)[i], true, i, i, due);
         due = Clock::now();
       }
     }
@@ -570,19 +733,24 @@ struct Reader {
   }
 };
 
-// Applies one publish over `client`. Returns the ack, or nullopt after a
-// failed or rejected RPC (counted by the caller).
-std::optional<MutationAck> ApplyPublish(ToprrClient& client,
-                                        const PublishDelta& delta) {
+// Stages one publish's rows and deletes in the session of `client`.
+// False after a failed or rejected RPC (counted by the caller).
+bool StageDelta(ToprrClient& client, const PublishDelta& delta) {
   std::optional<MutationAck> ack = client.StageInsert(delta.inserts);
-  if (!ack.has_value() || ack->status != MutationStatus::kOk) return {};
+  if (!ack.has_value() || ack->status != MutationStatus::kOk) return false;
   if (!delta.deletes.empty()) {
     ack = client.StageDelete(delta.deletes);
-    if (!ack.has_value() || ack->status != MutationStatus::kOk) return {};
+    if (!ack.has_value() || ack->status != MutationStatus::kOk) return false;
   }
+  return true;
+}
+
+// Publishes what the session of `client` has staged. Returns the ack, or
+// nullopt after a failed or rejected RPC (counted by the caller).
+std::optional<MutationAck> PublishStaged(ToprrClient& client) {
   // After a server restart the client's retry re-sends a publish whose
   // ack was lost; already_applied then carries the original ack.
-  ack = client.Publish();
+  std::optional<MutationAck> ack = client.Publish();
   if (!ack.has_value() || ack->status != MutationStatus::kOk) return {};
   return ack;
 }
@@ -592,16 +760,21 @@ PublishAck AckOf(const MutationAck& ack) {
                     ack.physical_rows};
 }
 
-// The writer: publishes [begin, end) of the trace. With `start` set, each
-// publish is due `i / publish_rate` seconds after it (open loop) and
-// timed from then; otherwise publishes go back to back, each timed from
-// its send.
+// The writer: publishes [begin, end) of the trace. Each delta is staged
+// untimed ahead of its publish, so the timed part is the Publish RPC --
+// the WAL append, the catalog publish and the engine's snapshot update
+// -- not two more round trips. With `start` set, each publish is due
+// `i / publish_rate` seconds after it (open loop) and timed from then;
+// otherwise publishes go back to back, each timed from its send.
+// Publishes that overlap an outage are not timed.
 void RunPublishes(const WorkloadSpec& spec, const Trace& trace, size_t begin,
                   size_t end, ToprrClient& client,
                   const Clock::time_point* start,
                   std::atomic<uint64_t>* acked_seq, EndToEndResult* result,
-                  std::vector<double>* latency_ms) {
+                  std::vector<double>* latency_ms,
+                  OutageTracker* outage = nullptr) {
   for (size_t p = begin; p < end; ++p) {
+    const bool staged = StageDelta(client, trace.publishes[p]);
     Clock::time_point due = Clock::now();
     if (start != nullptr) {
       due = *start + std::chrono::duration_cast<Clock::duration>(
@@ -611,7 +784,7 @@ void RunPublishes(const WorkloadSpec& spec, const Trace& trace, size_t begin,
       std::this_thread::sleep_until(due);
     }
     const std::optional<MutationAck> ack =
-        ApplyPublish(client, trace.publishes[p]);
+        staged ? PublishStaged(client) : std::nullopt;
     const Clock::time_point done = Clock::now();
     if (!ack.has_value()) {
       ++result->publish_failures;
@@ -620,7 +793,12 @@ void RunPublishes(const WorkloadSpec& spec, const Trace& trace, size_t begin,
     }
     result->publish_acks.push_back(AckOf(*ack));
     acked_seq->store(ack->snapshot_seq, std::memory_order_release);
-    if (latency_ms != nullptr) latency_ms->push_back(Ms(done - due));
+    if (latency_ms == nullptr) continue;
+    if (outage != nullptr && outage->Overlaps(due, done)) {
+      ++result->untimed;
+    } else {
+      latency_ms->push_back(Ms(done - due));
+    }
   }
 }
 
@@ -667,8 +845,8 @@ uint64_t ParseCounter(const std::string& line, const std::string& key) {
 }  // namespace
 
 bool RunEndToEnd(const WorkloadSpec& spec, const Trace& trace,
-                 const RunPaths& paths, double seconds,
-                 EndToEndResult* result, std::string* error) {
+                 const RunPaths& paths, EndToEndResult* result,
+                 std::string* error) {
   ServerProcess::Options options;
   options.binary = paths.server_binary;
   options.log_path = paths.work_dir + "/server.log";
@@ -729,12 +907,14 @@ bool RunEndToEnd(const WorkloadSpec& spec, const Trace& trace,
   std::atomic<uint64_t> acked_seq{result->base_seq};
   const bool writer = spec.durable;
   StartGate gate(connections + (writer ? 1 : 0));
+  SoloGate solo;
+  OutageTracker outage;
   std::vector<Reader> readers;
   readers.reserve(connections);
   for (int c = 0; c < connections; ++c) {
     readers.push_back(Reader{&spec, c, server->port(), &warm[c],
-                             &measured[c], &trace.measured[c], &gate,
-                             seconds, &acked_seq, {}});
+                             &measured[c], &trace.measured[c], &gate, &solo,
+                             &outage, &acked_seq, {}, {}});
   }
   std::atomic<int> running{0};
   std::vector<std::thread> threads;
@@ -757,7 +937,7 @@ bool RunEndToEnd(const WorkloadSpec& spec, const Trace& trace,
       const Clock::time_point start = gate.WaitOpen();
       RunPublishes(spec, trace, measured_begin, trace.publishes.size(),
                    writer_client, &start, &acked_seq, result,
-                   &result->publish_ms);
+                   &result->publish_ms, &outage);
       writer_end = Clock::now();
     });
   }
@@ -794,6 +974,7 @@ bool RunEndToEnd(const WorkloadSpec& spec, const Trace& trace,
       }
     }
     if (server->Exited()) {
+      outage.Begin(/*crash=*/true);
       double final_cpu = 0.0;
       const bool have_cpu = ReadCpuMs(server->pid(), &final_cpu);
       const std::string how = server->Reap();
@@ -805,9 +986,21 @@ bool RunEndToEnd(const WorkloadSpec& spec, const Trace& trace,
                               "s into the window"
                         : " during warm-up"));
       options.port = port;
-      double ignored = 0.0;
-      server = ServerProcess::Spawn(options, &ignored, error);
+      // A reader re-sending a lost batch can connect as soon as the new
+      // server listens, and take it down again before it reports ready.
+      server.reset();
+      for (int spawn = 0; spawn < kRestartSpawns && server == nullptr;
+           ++spawn) {
+        double ignored = 0.0;
+        server = ServerProcess::Spawn(options, &ignored, error);
+        if (server == nullptr) {
+          result->server_crashes.push_back("died while restarting: " +
+                                           *error);
+        }
+      }
       ok = server != nullptr;
+      if (ok) error->clear();
+      outage.End();
       continue;
     }
     if (!opened && gate.AllArrived()) {
@@ -852,6 +1045,7 @@ bool RunEndToEnd(const WorkloadSpec& spec, const Trace& trace,
                 host_total
           : 0.0;
 
+  result->unexplained_crashes = outage.unexplained();
   for (Reader& reader : readers) {
     ReaderTally& tally = reader.tally;
     result->latency_ms.insert(result->latency_ms.end(),
@@ -863,6 +1057,10 @@ bool RunEndToEnd(const WorkloadSpec& spec, const Trace& trace,
     result->non_ok += tally.non_ok;
     result->transport_errors += tally.transport_errors;
     result->cache_hits += tally.cache_hits;
+    result->untimed += tally.untimed;
+    result->crashed_queries.insert(result->crashed_queries.end(),
+                                   tally.crashed_queries.begin(),
+                                   tally.crashed_queries.end());
     result->send_late_ms.insert(result->send_late_ms.end(),
                                 tally.send_late_ms.begin(),
                                 tally.send_late_ms.end());

@@ -100,11 +100,24 @@ struct PublishAck {
 struct EndToEndResult {
   std::vector<double> setup_seconds;  // one per spawn
   double window_seconds = 0.0;
-  uint64_t attempted = 0;   // queries sent in the window
+  uint64_t attempted = 0;   // queries sent in the window, and failed
+                            // warm-up queries
   uint64_t completed = 0;   // kOk responses in the window
   uint64_t rejected = 0;    // kRejectedOverload / kRejectedDraining
   uint64_t non_ok = 0;      // every other non-kOk status
-  uint64_t transport_errors = 0;  // queries lost to a failed RPC
+  /// Queries that took the server down on their own (found by re-sending
+  /// the batches a crash took down, alone), or whose connection could
+  /// not be re-established. Each is counted once.
+  uint64_t transport_errors = 0;
+  /// "connection c rpc i query s" for each query that took the server
+  /// down on its own.
+  std::vector<std::string> crashed_queries;
+  /// Server crashes that no re-sent query reproduced: each counts as one
+  /// failure.
+  uint64_t unexplained_crashes = 0;
+  /// Completed requests and publishes left untimed because they overlapped
+  /// a server restart or the re-sending of a lost batch.
+  uint64_t untimed = 0;
   uint64_t cache_hits = 0;
   std::vector<double> latency_ms;    // per completed RPC
   std::vector<double> send_late_ms;  // send time minus due time
@@ -134,9 +147,8 @@ struct EndToEndResult {
   uint64_t base_seq = 0;  // served seq when the window's server came up
   std::string shutdown_line;
   uint64_t server_protocol_errors = 0;
-  /// Servers that died during the window and were restarted on the same
-  /// port (and data directory); the queries they took down are counted
-  /// in transport_errors.
+  /// Servers that died and were restarted on the same port (and data
+  /// directory).
   std::vector<std::string> server_crashes;
 };
 
@@ -149,8 +161,8 @@ struct RunPaths {
 /// could not be started or driven at all; request-level failures are
 /// counted in `result` instead.
 bool RunEndToEnd(const WorkloadSpec& spec, const Trace& trace,
-                 const RunPaths& paths, double seconds,
-                 EndToEndResult* result, std::string* error);
+                 const RunPaths& paths, EndToEndResult* result,
+                 std::string* error);
 
 }  // namespace servebench
 

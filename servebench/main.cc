@@ -24,6 +24,17 @@ namespace {
 
 using namespace servebench;
 
+// A window in which the hypervisor gave more than kRetrySteal of the
+// host's CPU to other guests is measured again, from a fresh server, as
+// long as another attempt is expected to end within kAttemptBudget times
+// --seconds of the run's start; the quietest window is reported. Steal
+// comes in episodes of a minute or so: at 9-21 % steal, churn_durable's
+// publish_p50_ms read 1.7-3.8 ms against 1.15-1.32 ms at under 4.5 %,
+// and at 1.5-3.5 % zipf_cached's cpu_ms_per_query read 0.75-0.83 ms
+// against 0.63-0.74 ms below 1 %.
+constexpr double kRetrySteal = 0.02;
+constexpr double kAttemptBudget = 4.0;
+
 struct Args {
   std::string workload;
   uint64_t seed = 1;
@@ -125,10 +136,26 @@ int main(int argc, char** argv) {
   const Trace trace = BuildTrace(spec, args.seed, args.seconds);
   EndToEndResult run;
   std::string error;
-  if (!RunEndToEnd(spec, trace, RunPaths{args.server, args.work_dir},
-                   args.seconds, &run, &error)) {
-    std::fprintf(stderr, "servebench: %s\n", error.c_str());
-    return 2;
+  const Clock::time_point began = Clock::now();
+  for (int attempt = 1;; ++attempt) {
+    const Clock::time_point attempt_start = Clock::now();
+    EndToEndResult candidate;
+    if (!RunEndToEnd(spec, trace, RunPaths{args.server, args.work_dir},
+                     &candidate, &error)) {
+      std::fprintf(stderr, "servebench: %s\n", error.c_str());
+      return 2;
+    }
+    std::printf("attempt %d: host steal %.4f over a %.3f s window\n", attempt,
+                candidate.host_steal_ratio, candidate.window_seconds);
+    if (attempt == 1 || candidate.host_steal_ratio < run.host_steal_ratio) {
+      run = std::move(candidate);
+    }
+    const Clock::time_point now = Clock::now();
+    if (run.host_steal_ratio <= kRetrySteal ||
+        SecondsBetween(began, now) + SecondsBetween(attempt_start, now) >
+            kAttemptBudget * args.seconds) {
+      break;
+    }
   }
   CheckReport verify;
   Verify(spec, trace, run, &verify);
@@ -148,8 +175,9 @@ int main(int argc, char** argv) {
   const double completed = static_cast<double>(run.completed);
   const uint64_t attempted = run.attempted + run.publish_ms.size() +
                              run.publish_failures;
-  uint64_t failed = run.transport_errors + run.rejected + run.non_ok +
-                    run.publish_failures + verify.failures;
+  uint64_t failed = run.transport_errors + run.unexplained_crashes +
+                    run.rejected + run.non_ok + run.publish_failures +
+                    verify.failures;
   std::printf("servebench: workload=%s seed=%llu seconds=%g trace=%d "
               "window=%.3fs completed=%llu attempted=%llu cache_hits=%llu\n",
               spec.name, static_cast<unsigned long long>(args.seed),
@@ -162,6 +190,18 @@ int main(int argc, char** argv) {
     std::printf("FAIL server crashed (%s) and was restarted; see the "
                 "server log in the work directory\n",
                 crash.c_str());
+  }
+  for (const std::string& query : run.crashed_queries) {
+    std::printf("FAIL %s took the server down on its own\n", query.c_str());
+  }
+  if (run.unexplained_crashes > 0) {
+    std::printf("FAIL %llu server crashes that no re-sent query reproduced\n",
+                static_cast<unsigned long long>(run.unexplained_crashes));
+  }
+  if (run.untimed > 0) {
+    std::printf("untimed: %llu completed requests and publishes overlapped "
+                "a server restart\n",
+                static_cast<unsigned long long>(run.untimed));
   }
   PrintNotes("answers", verify);
 

@@ -33,8 +33,8 @@ constexpr double kSigma = 0.01;
 
 // zipf_cached: Zipf(1.2) over 32 profile boxes on the server's default
 // cache grid (toprr_serve --cache_quantum 1/256). The profile set and its
-// ranks are fixed (drawn from kProfileSeed); the benchmark seed varies
-// the draw sequence and the jitter. A per-seed profile set would make
+// ranks are fixed (drawn from kProfileSeed), and so are the draws and
+// their jitter (the query pool below). A per-seed profile set would make
 // the cost per query that of whichever profile ranks first: hit costs
 // differ several-fold between profiles.
 constexpr uint64_t kProfileSeed = 2019;
@@ -42,6 +42,14 @@ constexpr int kProfiles = 32;
 constexpr double kZipfS = 1.2;
 constexpr double kQuantum = 1.0 / 256.0;
 constexpr double kCacheBudgetBytes = 64.0 * 1024 * 1024;
+
+// Every workload queries a fixed pool of boxes (drawn from kQuerySeed);
+// the benchmark seed orders the pool and deals it to the connections.
+// Every run of a workload thus sends the same queries, so its cost, its
+// peak memory and the queries the solver fails on do not change from
+// seed to seed: a few i.i.d. boxes cost hundreds of times the median, and
+// a run that drew one measured it instead of the workload.
+constexpr uint64_t kQuerySeed = 2019;
 
 // The query budget toprr_serve clamps every request to (--max_budget).
 constexpr double kServerBudgetSeconds = 10.0;
@@ -60,9 +68,14 @@ constexpr int kRebuildEvery = 8;
 constexpr int kSeedPublishes = 24;
 constexpr int kWarmPublishes = 8;
 constexpr int kCheckpointEvery = 16;
-// A publish probe or schedule holds at least this many publishes, so
+// A publish schedule holds at least this many publishes, so
 // publish_p95_ms has ten samples beyond it.
 constexpr size_t kMinPublishes = 200;
+// The read-only workloads' publish probe: back-to-back publishes after
+// the window, twice the minimum, so a passing stall of the host moves its
+// percentiles less (at 200, publish_p50_ms spread 0.22 of its median
+// between runs).
+constexpr size_t kProbePublishes = 400;
 // Every run keeps at least this many timed requests, so
 // latency_p99_ms has ten samples beyond it.
 constexpr size_t kMinTimedRequests = 1000;
@@ -83,7 +96,9 @@ struct WorkloadSpec {
   double reader_rate;  // RPCs per second per connection (open loop)
   double publish_rate;  // publishes per second (churn writer)
   int warm_rpcs;        // untimed RPCs per connection before the window
-  size_t trace_rpcs;    // measured trace length per connection (cycled)
+  // Closed loop: the measured trace holds trace_rate * seconds RPCs per
+  // connection, replayed once: about --seconds on a 4-vCPU host.
+  double trace_rate;
   int sample_every;     // verify every n-th measured RPC per connection
   // The traced run replays every replay_stride-th measured RPC of each
   // connection, at most replay_rpcs of them.
@@ -120,8 +135,8 @@ struct Trace {
   std::vector<toprr::PrefBox> profiles;  // zipf_cached
 };
 
-/// Builds the trace of `spec` for `seed`. `seconds` sets the open-loop
-/// schedule length (churn_durable); closed-loop traces are cycled.
+/// Builds the trace of `spec` for `seed`. `seconds` sets the length of
+/// the open-loop schedule and of the closed-loop traces.
 Trace BuildTrace(const WorkloadSpec& spec, uint64_t seed, double seconds);
 
 /// The dataset toprr_serve generates for `data_seed`.
