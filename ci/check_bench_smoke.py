@@ -40,11 +40,19 @@ is missing, its `speedup_vs_rebuild` counter is below the floor
 not 1 -- incremental skyband maintenance across a <=1% publish delta
 must beat a from-scratch rebuild while staying bit-identical to it.
 
+--rskyband mode reads a bench_fig8_filters JSON file and fails when the
+gated configuration `fig8/r_skyband_engine/bounded` is missing, its
+`speedup_vs_scan` counter is below the floor (BENCH_RSKYBAND_FLOOR env
+var, default 2.0), or its `equal` counter is not 1 -- the
+interval-bounded r-skyband scan over the cached k-skyband must beat the
+reference scan on the same queries while returning exactly its ids.
+
 Usage: check_bench_smoke.py bench_smoke.json
        check_bench_smoke.py --kernel score_kernel.json
        check_bench_smoke.py --geometry region_split.json
        check_bench_smoke.py --cache BENCH_query_cache.json
        check_bench_smoke.py --snapshot BENCH_snapshot_update.json
+       check_bench_smoke.py --rskyband rskyband_smoke.json
 Self-test: check_bench_smoke.py --self-test
 """
 
@@ -59,6 +67,7 @@ GEOM_LARGE = re.compile(r"^region_split/flat/d:4/r:8(/|$)")
 CACHE_GATED = re.compile(r"^query_cache/warm/d:4/k:10(/|$)")
 SNAPSHOT_GATED = re.compile(
     r"^snapshot_update/incremental/d:4/k:10/delta:1pct(/|$)")
+RSKYBAND_GATED = re.compile(r"^fig8/r_skyband_engine/bounded(/|$)")
 
 
 def evaluate(report, floor):
@@ -294,6 +303,54 @@ def evaluate_snapshot(report, floor):
     return True, summary
 
 
+def evaluate_rskyband(report, floor):
+    """Returns (ok, one_line_message) for a bench_fig8_filters report."""
+    if not isinstance(report, dict):
+        return False, "report is not a JSON object"
+    benchmarks = report.get("benchmarks")
+    if not isinstance(benchmarks, list) or not benchmarks:
+        return False, (
+            "no benchmark series in the report (did bench_fig8_filters "
+            "run with --benchmark_out?)"
+        )
+    gated = None
+    for bench in benchmarks:
+        if isinstance(bench, dict) and RSKYBAND_GATED.match(
+                bench.get("name", "")):
+            gated = bench
+            break
+    if gated is None:
+        return False, (
+            "gated r-skyband config missing: the report has "
+            f"{len(benchmarks)} benchmarks but none match "
+            "fig8/r_skyband_engine/bounded"
+        )
+    speedup = gated.get("speedup_vs_scan")
+    if speedup is None:
+        return False, (
+            "gated r-skyband config has no speedup_vs_scan counter (did "
+            "the fig8/r_skyband_engine/scan point run first?)"
+        )
+    equal = gated.get("equal")
+    if equal != 1:
+        return False, (
+            "bounded r-skyband scan does NOT return the reference ids "
+            f"(equal={equal}): the filter is broken"
+        )
+    per_query = gated.get("sec_per_query", 0.0)
+    summary = (
+        f"interval-bounded r-skyband {speedup:.2f}x over the reference "
+        f"scan (floor {floor}x), identical ids, "
+        f"{per_query * 1e6:.0f}us per query"
+    )
+    if speedup < floor:
+        return False, (
+            f"bounded r-skyband speedup {speedup:.2f}x below the "
+            f"{floor}x floor"
+        )
+    return True, summary
+
+
 def self_test():
     def series(entries):
         return {
@@ -494,6 +551,47 @@ def self_test():
 
     ok, message = evaluate_snapshot([1, 2], 5.0)
     assert not ok, "non-object snapshot JSON must fail, not crash"
+
+    def rskyband_report(name, counters):
+        return {
+            "benchmarks": [
+                {"name": "fig8/r_skyband_engine/scan/iterations:1"
+                         "/manual_time"},
+                {"name": name + "/iterations:1/manual_time", **counters},
+            ]
+        }
+
+    good_rskyband = rskyband_report(
+        "fig8/r_skyband_engine/bounded",
+        {"speedup_vs_scan": 8.0, "equal": 1.0, "sec_per_query": 9e-5})
+    ok, _ = evaluate_rskyband(good_rskyband, 2.0)
+    assert ok, "healthy r-skyband report must pass"
+
+    ok, message = evaluate_rskyband({}, 2.0)
+    assert not ok and "no benchmark series" in message
+
+    ok, message = evaluate_rskyband(
+        rskyband_report("fig8/r_skyband",
+                        {"speedup_vs_scan": 8.0, "equal": 1.0}), 2.0)
+    assert not ok and "gated r-skyband config missing" in message
+
+    ok, message = evaluate_rskyband(
+        rskyband_report("fig8/r_skyband_engine/bounded", {"equal": 1.0}),
+        2.0)
+    assert not ok and "no speedup_vs_scan" in message
+
+    ok, message = evaluate_rskyband(
+        rskyband_report("fig8/r_skyband_engine/bounded",
+                        {"speedup_vs_scan": 8.0, "equal": 0.0}), 2.0)
+    assert not ok and "does NOT return the reference ids" in message
+
+    ok, message = evaluate_rskyband(
+        rskyband_report("fig8/r_skyband_engine/bounded",
+                        {"speedup_vs_scan": 1.5, "equal": 1.0}), 2.0)
+    assert not ok and "below" in message
+
+    ok, message = evaluate_rskyband([1, 2], 2.0)
+    assert not ok, "non-object r-skyband JSON must fail, not crash"
     print("bench-smoke: self-test PASS")
 
 
@@ -505,11 +603,14 @@ def main():
     geometry_mode = len(sys.argv) == 3 and sys.argv[1] == "--geometry"
     cache_mode = len(sys.argv) == 3 and sys.argv[1] == "--cache"
     snapshot_mode = len(sys.argv) == 3 and sys.argv[1] == "--snapshot"
-    flagged = kernel_mode or geometry_mode or cache_mode or snapshot_mode
+    rskyband_mode = len(sys.argv) == 3 and sys.argv[1] == "--rskyband"
+    flagged = (kernel_mode or geometry_mode or cache_mode or snapshot_mode
+               or rskyband_mode)
     if not flagged and len(sys.argv) != 2:
         print(
             f"bench-smoke: FAIL: usage: {sys.argv[0]} "
-            "[--kernel|--geometry|--cache|--snapshot] <benchmark_out.json>",
+            "[--kernel|--geometry|--cache|--snapshot|--rskyband] "
+            "<benchmark_out.json>",
             file=sys.stderr,
         )
         sys.exit(1)
@@ -537,6 +638,9 @@ def main():
     elif snapshot_mode:
         floor = float(os.environ.get("BENCH_SNAPSHOT_FLOOR", "5.0"))
         ok, message = evaluate_snapshot(report, floor)
+    elif rskyband_mode:
+        floor = float(os.environ.get("BENCH_RSKYBAND_FLOOR", "2.0"))
+        ok, message = evaluate_rskyband(report, floor)
     else:
         floor = float(os.environ.get("BENCH_SMOKE_FLOOR", "1.5"))
         ok, message = evaluate(report, floor)

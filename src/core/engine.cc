@@ -230,10 +230,9 @@ ToprrResult ToprrEngine::SolveBox(const SnapshotPtr& snap, int k,
   const std::vector<int> candidates =
       options.use_rskyband_filter ? RSkyband(view, box, k, &skyband->ids)
                                   : skyband->ids;
-  ToprrResult result = SolveToprrWithCandidates(
-      view, k, PrefRegion::FromBox(box), candidates, options);
-  result.stats.filter_seconds = filter_timer.Seconds();
-  return result;
+  return SolveToprrWithCandidates(view, k, PrefRegion::FromBox(box),
+                                  candidates, options, nullptr,
+                                  filter_timer.Seconds());
 }
 
 ToprrResult ToprrEngine::SolveRegion(const SnapshotPtr& snap, int k,
@@ -254,10 +253,8 @@ ToprrResult ToprrEngine::SolveRegion(const SnapshotPtr& snap, int k,
       options.use_rskyband_filter
           ? RSkybandVertices(view, region.vertices(), k, &skyband->ids)
           : skyband->ids;
-  ToprrResult result =
-      SolveToprrWithCandidates(view, k, region, candidates, options);
-  result.stats.filter_seconds = filter_timer.Seconds();
-  return result;
+  return SolveToprrWithCandidates(view, k, region, candidates, options,
+                                  nullptr, filter_timer.Seconds());
 }
 
 ToprrResult ToprrEngine::SolveCachedBox(const SnapshotPtr& snap, int k,
@@ -433,11 +430,10 @@ ToprrResult ToprrEngine::SolveColdAndInsert(const SnapshotPtr& snap, int k,
 
   std::vector<FlatCell> cells;
   ToprrResult canon_result = SolveToprrWithCandidates(
-      view, k, root, candidates, options, &cells);
+      view, k, root, candidates, options, &cells, filter_seconds);
   if (canon_result.timed_out) {
     // Incomplete partitions are never cached, and a timed-out result is
     // unusable by contract, so hand it back as-is.
-    canon_result.stats.filter_seconds = filter_seconds;
     canon_result.stats.scheduler.cache_misses = 1;
     return canon_result;
   }

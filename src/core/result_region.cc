@@ -126,13 +126,15 @@ void AssembleResultRegion(const DatasetView& data,
 
   HalfspaceIntersectionOptions options;
   auto geometry = IntersectHalfspaces(all, interior, options);
-  if (!geometry.has_value()) {
+  // oR lies in the unit box, so an unbounded answer can only come from a
+  // numerically degenerate dual hull: report it like a failed hull rather
+  // than aborting on client-reachable input.
+  if (!geometry.has_value() || geometry->unbounded) {
     LOG(WARNING) << "vertex enumeration failed (degenerate dual hull); "
                  << "halfspace description remains exact";
     result->degenerate = true;
     return;
   }
-  CHECK(!geometry->unbounded) << "oR must be bounded inside the unit box";
   result->vertices = std::move(geometry->vertices);
   for (size_t idx : geometry->active_halfspaces) {
     if (idx < result->impact_halfspaces.size()) {

@@ -98,8 +98,9 @@ PartitionConfig PartitionConfigFromOptions(const ToprrOptions& options) {
 
 namespace {
 
-// Shared filter + partition + assembly pipeline. `filter_seconds` covers
-// the caller's candidate computation when candidates were precomputed.
+// Shared filter + partition + assembly pipeline. `filter_seconds` is the
+// caller's measured candidate computation; it is reported as the filter
+// phase and counted into total_seconds.
 // A non-null `flat_cells` receives the accepted cells (id order) for the
 // region cache.
 ToprrResult SolveImpl(const DatasetView& data, int k, const PrefRegion& region,
@@ -130,7 +131,7 @@ ToprrResult SolveImpl(const DatasetView& data, int k, const PrefRegion& region,
   if (partition.timed_out) {
     result.timed_out = true;
     result.cancelled = partition.cancelled;
-    result.stats.total_seconds = total.Seconds();
+    result.stats.total_seconds = total.Seconds() + filter_seconds;
     return result;
   }
   if (flat_cells != nullptr) *flat_cells = std::move(partition.flat_cells);
@@ -193,9 +194,11 @@ ToprrResult SolveToprrWithCandidates(const DatasetView& data, int k,
                                      const PrefRegion& region,
                                      const std::vector<int>& candidates,
                                      const ToprrOptions& options,
-                                     std::vector<FlatCell>* flat_cells) {
+                                     std::vector<FlatCell>* flat_cells,
+                                     double filter_seconds) {
   CheckInputs(data, k, region.dim());
-  return SolveImpl(data, k, region, candidates, 0.0, options, flat_cells);
+  return SolveImpl(data, k, region, candidates, filter_seconds, options,
+                   flat_cells);
 }
 
 ToprrResult SolveToprrPieces(const DatasetView& data, int k,

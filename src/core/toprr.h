@@ -240,13 +240,16 @@ ToprrResult SolveToprrRegion(const DatasetView& data, int k,
 /// r-skyband). Skips the built-in filter; used by ToprrEngine. When
 /// `flat_cells` is non-null the accepted partition cells are moved into
 /// it in heap-path-id order (the region cache's entry payload); the solve
-/// itself is unaffected.
+/// itself is unaffected. `filter_seconds` is the caller's measured time
+/// computing `candidates`: it becomes stats.filter_seconds and is counted
+/// into stats.total_seconds, as on the SolveToprr path.
 ToprrResult SolveToprrWithCandidates(const DatasetView& data, int k,
                                      const PrefRegion& region,
                                      const std::vector<int>& candidates,
                                      const ToprrOptions& options = {},
                                      std::vector<FlatCell>* flat_cells =
-                                         nullptr);
+                                         nullptr,
+                                     double filter_seconds = 0.0);
 
 /// Non-convex wR support (paper Sec. 3.1): the target region is the union
 /// of convex pieces; a top-ranking option must be top-k on every piece, so

@@ -319,7 +319,9 @@ std::optional<ConvexHullResult> ComputeConvexHull(
       const Facet& vf = facets[v];
       for (size_t i = 0; i < vf.vertices.size(); ++i) {
         const int nb = vf.neighbors[i];
-        DCHECK_GE(nb, 0);
+        // A visible facet with an unlinked ridge means the adjacency broke
+        // down numerically; give up rather than read is_visible[-1].
+        if (nb < 0) return std::nullopt;
         if (is_visible[nb]) continue;
         Horizon h;
         for (size_t j = 0; j < vf.vertices.size(); ++j) {

@@ -9,6 +9,35 @@
 // The r-skyband (options r-dominated by fewer than k others) is a superset
 // of the top-k result of every w in wR -- the filter the paper selects for
 // all TopRR methods (Fig. 8).
+//
+// The scan. Members are visited in decreasing score at an interior point
+// of wR (ties by id); each is kept unless k already-kept members
+// r-dominate it (RDominates / RDominatesVertices, the exact predicate).
+// Most candidates never reach that pairwise check: every member first
+// gets a score interval [lo, hi] over wR -- the closed-form box minimum
+// and maximum, or the min and max of its scores at the polytope's
+// vertices from one ScoreKernel sweep (bit-identical to ReducedScore; the
+// sweep's last row is the interior point, which fixes the order). Once k
+// kept members have lo > hi(q) + margin, q is rejected outright.
+//
+// The margin. `margin` bounds the floating-point error of the computed
+// intervals and of the predicate's computed score differences. For rows
+// with |p[j]| <= M and weight points with sum |x[j]| <= X it is
+// 4 (m + 4) eps M (1 + 2X), twice a standard forward-error bound on two
+// interval ends plus one difference (m = d - 1; see IntervalMargin). It
+// scales with the pool's rows, so staged rows outside [0,1] keep it
+// sound; where scores could overflow or a weight is not finite it is
+// infinite and the bound is off.
+//
+// Why the output is identical. If k kept members s have
+// lo(s) > hi(q) + margin, each beats q by more than the rounding error at
+// every point the predicate evaluates, so the predicate returns true for
+// all k and the plain scan rejects q as well. A rejection changes no state
+// and the visit order is unchanged, so the kept set -- and the returned id
+// vector -- is the plain scan's, bit for bit. The threshold (the k-th
+// largest kept lo) only grows, so members already below it are dropped in
+// bulk instead of being ordered. Scratch is per call: nothing pool-sized
+// outlives it.
 #ifndef TOPRR_TOPK_RSKYBAND_H_
 #define TOPRR_TOPK_RSKYBAND_H_
 

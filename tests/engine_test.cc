@@ -482,5 +482,58 @@ TEST(EngineTest, EngineConfigPresets) {
                    engine.Solve(5, box, legacy));
 }
 
+// One phase clock: the filter, partition and assembly timings are
+// disjoint pieces of total_seconds, which leaves out only bookkeeping.
+void ExpectPhasesSumToTotal(const ToprrResult& result) {
+  const ToprrStats& stats = result.stats;
+  ASSERT_FALSE(result.timed_out);
+  EXPECT_GT(stats.filter_seconds, 0.0);
+  const double sum =
+      stats.filter_seconds + stats.partition_seconds + stats.assemble_seconds;
+  EXPECT_LE(sum, stats.total_seconds + 1e-9);
+  EXPECT_NEAR(stats.total_seconds, sum, 0.002 + 0.05 * stats.total_seconds)
+      << stats.DebugString();
+}
+
+TEST(EngineTest, PhaseTimesSumToTotalOnFreeAndEnginePaths) {
+  const Dataset ds = GenerateSynthetic(20000, 4, Distribution::kIndependent,
+                                       81);
+  ToprrEngine engine(DatasetSnapshot::FromDataset(ds));
+  Rng rng(82);
+  for (int trial = 0; trial < 3; ++trial) {
+    const PrefBox box = RandomPrefBox(3, 0.02, rng);
+    const PrefRegion region = PrefRegion::FromBox(box);
+    SCOPED_TRACE(trial);
+    ExpectPhasesSumToTotal(SolveToprr(ds, 10, box));
+    ExpectPhasesSumToTotal(SolveToprrRegion(ds, 10, region));
+    ExpectPhasesSumToTotal(engine.Solve(10, box));
+    ExpectPhasesSumToTotal(engine.Solve(10, region));
+  }
+}
+
+TEST(EngineTest, UnboundedHullBoxEndsInTypedDegenerateResult) {
+  // A served box on the 50k-row IND table (seed 2019) whose oR vertex
+  // enumeration comes back unbounded; the solve used to abort the process.
+  // It must end in the typed degenerate result: the halfspace description
+  // stays exact, and no vertices are reported.
+  const Dataset ds = GenerateSynthetic(50000, 4, Distribution::kIndependent,
+                                       2019);
+  ToprrEngine engine(DatasetSnapshot::FromDataset(ds));
+  const Vec lo{0.11395025640522985, 0.27221897008458174,
+               0.23502011299509015};
+  PrefBox box;
+  box.lo = lo;
+  box.hi = lo;
+  for (size_t j = 0; j < 3; ++j) box.hi[j] += 0.01;
+  for (const ToprrResult& result :
+       {engine.Solve(10, box), engine.Solve(10, PrefRegion::FromBox(box))}) {
+    EXPECT_FALSE(result.timed_out);
+    EXPECT_TRUE(result.degenerate);
+    EXPECT_EQ(result.impact_halfspaces.size(), 33u);
+    EXPECT_TRUE(result.vertices.empty());
+    EXPECT_TRUE(result.supporting_halfspaces.empty());
+  }
+}
+
 }  // namespace
 }  // namespace toprr
