@@ -42,8 +42,8 @@ must beat a from-scratch rebuild while staying bit-identical to it.
 
 --rskyband mode reads a bench_fig8_filters JSON file and fails when the
 gated configuration `fig8/r_skyband_engine/bounded` is missing, its
-`speedup_vs_scan` counter is below the floor (BENCH_RSKYBAND_FLOOR env
-var, default 2.0), or its `equal` counter is not 1 -- the
+`speedup_vs_scan` counter is below the fixed 2.0x floor
+(RSKYBAND_FLOOR), or its `equal` counter is not 1 -- the
 interval-bounded r-skyband scan over the cached k-skyband must beat the
 reference scan on the same queries while returning exactly its ids.
 
@@ -68,6 +68,7 @@ CACHE_GATED = re.compile(r"^query_cache/warm/d:4/k:10(/|$)")
 SNAPSHOT_GATED = re.compile(
     r"^snapshot_update/incremental/d:4/k:10/delta:1pct(/|$)")
 RSKYBAND_GATED = re.compile(r"^fig8/r_skyband_engine/bounded(/|$)")
+RSKYBAND_FLOOR = 2.0
 
 
 def evaluate(report, floor):
@@ -303,8 +304,9 @@ def evaluate_snapshot(report, floor):
     return True, summary
 
 
-def evaluate_rskyband(report, floor):
+def evaluate_rskyband(report):
     """Returns (ok, one_line_message) for a bench_fig8_filters report."""
+    floor = RSKYBAND_FLOOR
     if not isinstance(report, dict):
         return False, "report is not a JSON object"
     benchmarks = report.get("benchmarks")
@@ -564,33 +566,32 @@ def self_test():
     good_rskyband = rskyband_report(
         "fig8/r_skyband_engine/bounded",
         {"speedup_vs_scan": 8.0, "equal": 1.0, "sec_per_query": 9e-5})
-    ok, _ = evaluate_rskyband(good_rskyband, 2.0)
+    ok, _ = evaluate_rskyband(good_rskyband)
     assert ok, "healthy r-skyband report must pass"
 
-    ok, message = evaluate_rskyband({}, 2.0)
+    ok, message = evaluate_rskyband({})
     assert not ok and "no benchmark series" in message
 
     ok, message = evaluate_rskyband(
         rskyband_report("fig8/r_skyband",
-                        {"speedup_vs_scan": 8.0, "equal": 1.0}), 2.0)
+                        {"speedup_vs_scan": 8.0, "equal": 1.0}))
     assert not ok and "gated r-skyband config missing" in message
 
     ok, message = evaluate_rskyband(
-        rskyband_report("fig8/r_skyband_engine/bounded", {"equal": 1.0}),
-        2.0)
+        rskyband_report("fig8/r_skyband_engine/bounded", {"equal": 1.0}))
     assert not ok and "no speedup_vs_scan" in message
 
     ok, message = evaluate_rskyband(
         rskyband_report("fig8/r_skyband_engine/bounded",
-                        {"speedup_vs_scan": 8.0, "equal": 0.0}), 2.0)
+                        {"speedup_vs_scan": 8.0, "equal": 0.0}))
     assert not ok and "does NOT return the reference ids" in message
 
     ok, message = evaluate_rskyband(
         rskyband_report("fig8/r_skyband_engine/bounded",
-                        {"speedup_vs_scan": 1.5, "equal": 1.0}), 2.0)
+                        {"speedup_vs_scan": 1.5, "equal": 1.0}))
     assert not ok and "below" in message
 
-    ok, message = evaluate_rskyband([1, 2], 2.0)
+    ok, message = evaluate_rskyband([1, 2])
     assert not ok, "non-object r-skyband JSON must fail, not crash"
     print("bench-smoke: self-test PASS")
 
@@ -639,8 +640,7 @@ def main():
         floor = float(os.environ.get("BENCH_SNAPSHOT_FLOOR", "5.0"))
         ok, message = evaluate_snapshot(report, floor)
     elif rskyband_mode:
-        floor = float(os.environ.get("BENCH_RSKYBAND_FLOOR", "2.0"))
-        ok, message = evaluate_rskyband(report, floor)
+        ok, message = evaluate_rskyband(report)
     else:
         floor = float(os.environ.get("BENCH_SMOKE_FLOOR", "1.5"))
         ok, message = evaluate(report, floor)

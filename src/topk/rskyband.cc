@@ -113,6 +113,9 @@ double IntervalMargin(double magnitude, double weight_l1, size_t m) {
 // accepted lo -- never decreases, so after a batch every unvisited member
 // already below it is one the bound would reject at its turn; those are
 // dropped before the next batch, and only the rest are ever ordered.
+// Where that pays too little -- the bound is off, or a pass keeps more
+// than half of the unvisited members -- the rest is sorted in one go, so
+// a weak bound costs at most one partial sort over a full sort.
 template <typename DominatesFn>
 std::vector<int> RSkybandScan(const std::vector<int>& pool,
                               const PoolScores& scores, double margin, int k,
@@ -136,12 +139,16 @@ std::vector<int> RSkybandScan(const std::vector<int>& pool,
   std::iota(pending.begin(), pending.end(), 0u);
   std::vector<int> result;
   size_t next = 0;  // pending[0, next) has been visited
-  size_t batch = std::max<size_t>(2 * kk, 16);
+  size_t batch = bounded ? std::max<size_t>(2 * kk, 16) : pending.size();
   while (next < pending.size()) {
     const auto first = pending.begin() + static_cast<ptrdiff_t>(next);
     const size_t take = std::min(batch, pending.size() - next);
     const auto last = first + static_cast<ptrdiff_t>(take);
-    std::partial_sort(first, last, pending.end(), before);
+    if (last == pending.end()) {
+      std::sort(first, last, before);
+    } else {
+      std::partial_sort(first, last, pending.end(), before);
+    }
     for (auto it = first; it != last; ++it) {
       const uint32_t oi = *it;
       if (rejected_by_bound(oi)) continue;
@@ -173,13 +180,15 @@ std::vector<int> RSkybandScan(const std::vector<int>& pool,
       }
     }
     next += take;
+    const size_t unvisited = pending.size() - next;
     if (best_lo.size() == kk) {
       pending.erase(std::remove_if(pending.begin() +
                                        static_cast<ptrdiff_t>(next),
                                    pending.end(), rejected_by_bound),
                     pending.end());
     }
-    batch *= 2;
+    const size_t kept = pending.size() - next;
+    batch = 2 * kept > unvisited ? kept : 2 * batch;
   }
   std::sort(result.begin(), result.end());
   return result;

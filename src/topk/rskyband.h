@@ -36,8 +36,9 @@
 // and the visit order is unchanged, so the kept set -- and the returned id
 // vector -- is the plain scan's, bit for bit. The threshold (the k-th
 // largest kept lo) only grows, so members already below it are dropped in
-// bulk instead of being ordered. Scratch is per call: nothing pool-sized
-// outlives it.
+// bulk instead of being ordered; where the bound is off or drops too few
+// members, the rest of the pool is sorted once instead. Scratch is per
+// call: nothing pool-sized outlives it.
 #ifndef TOPRR_TOPK_RSKYBAND_H_
 #define TOPRR_TOPK_RSKYBAND_H_
 

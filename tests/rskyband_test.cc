@@ -468,5 +468,35 @@ TEST(RSkybandTest, LargePoolMatchesReference) {
   }
 }
 
+TEST(RSkybandTest, WeakOrDisabledBoundMatchesReference) {
+  // A wide box keeps most members inside the bound's reach, so the scan
+  // orders the rest in one sort; rows near the overflow limit make the
+  // margin infinite, so the bound is off and every candidate is checked.
+  const Dataset ds =
+      GenerateSynthetic(3000, 4, Distribution::kIndependent, 73);
+  Dataset huge = ds;
+  for (size_t i = 0; i < huge.size(); ++i) {
+    for (size_t j = 0; j < huge.dim(); ++j) {
+      huge.At(i, j) = std::ldexp(huge.At(i, j), 1020);
+    }
+  }
+  Rng rng(74);
+  const PrefBox wide = RandomPrefBox(3, 0.3, rng);
+  const PrefBox narrow = RandomPrefBox(3, 0.01, rng);
+  const Dataset* tables[] = {&ds, &huge};
+  for (const Dataset* table : tables) {
+    const DatasetView view(*table);
+    for (const PrefBox* box : {&wide, &narrow}) {
+      for (const int k : {1, 10}) {
+        EXPECT_EQ(RSkyband(view, *box, k),
+                  reference::RSkyband(view, *box, k, AllIds(view)));
+        EXPECT_EQ(RSkybandVertices(view, box->Vertices(), k),
+                  reference::RSkybandVertices(view, box->Vertices(), k,
+                                              AllIds(view)));
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace toprr
